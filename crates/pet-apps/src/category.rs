@@ -9,8 +9,9 @@
 //! on the order of 45 bits plus the mask).
 
 use pet_core::config::PetConfig;
+use pet_core::front::Estimator;
 use pet_core::oracle::CodeRoster;
-use pet_core::session::{EstimateReport, PetSession};
+use pet_core::session::EstimateReport;
 use pet_phy::channel::PerfectChannel;
 use pet_phy::Air;
 use pet_tags::population::TagPopulation;
@@ -51,15 +52,17 @@ where
     for tag in population {
         groups.entry(key_of(tag)).or_default().push(tag.key());
     }
-    let session = PetSession::new(*config);
+    let estimator = Estimator::new(*config);
     groups
         .into_iter()
         .map(|(category, keys)| {
-            let mut oracle = CodeRoster::new(&keys, config, session.family());
+            let mut oracle = CodeRoster::new(&keys, config, estimator.family());
             let mut air = Air::new(PerfectChannel);
             // The Select broadcast that scopes everything that follows.
             air.broadcast(SELECT_BITS);
-            let report = session.run_rounds(rounds, &mut oracle, &mut air, rng);
+            let report = estimator
+                .try_run_oracle(rounds, &mut oracle, &mut air, rng)
+                .unwrap_or_else(|e| panic!("{e}"));
             CategoryReport {
                 category,
                 true_count: keys.len(),

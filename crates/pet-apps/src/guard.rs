@@ -6,8 +6,8 @@
 //! finite budget can decide reliably.
 
 use pet_core::config::PetConfig;
+use pet_core::front::Estimator;
 use pet_core::oracle::CodeRoster;
-use pet_core::session::PetSession;
 use pet_phy::channel::PerfectChannel;
 use pet_phy::Air;
 use pet_stats::erf::normal_cdf;
@@ -85,11 +85,13 @@ impl CapacityGuard {
         population: &TagPopulation,
         rng: &mut R,
     ) -> CapacityVerdict {
-        let session = PetSession::new(self.config);
+        let estimator = Estimator::new(self.config);
         let keys: Vec<u64> = population.keys().collect();
-        let mut oracle = CodeRoster::new(&keys, &self.config, session.family());
+        let mut oracle = CodeRoster::new(&keys, &self.config, estimator.family());
         let mut air = Air::new(PerfectChannel);
-        let report = session.run(&mut oracle, &mut air, rng);
+        let report = estimator
+            .try_run_oracle(self.config.rounds(), &mut oracle, &mut air, rng)
+            .expect("the Eq. (20) budget is at least one round");
         self.judge(report.mean_prefix_len, report.rounds)
     }
 }

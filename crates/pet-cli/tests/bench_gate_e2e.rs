@@ -4,14 +4,36 @@
 //! machine-readable verdict). Everything happens under a temp dir —
 //! `results/ledger.jsonl` in the repo is never touched.
 
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pet-bench-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A temporary directory owned by one test, removed when dropped. The tests
+/// in this binary run in parallel in one process, so the name carries the
+/// test's name as well as the pid.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("pet-bench-e2e-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+impl Deref for TmpDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn pet(args: &[&str], cwd: &Path) -> Output {
@@ -39,7 +61,7 @@ const SNAPSHOT: &str = r#"{"n": 100000, "lane": "avx2", "commit": "aaaaaaa",
 
 #[test]
 fn record_twice_then_gate_passes_and_synthetic_regression_fails() {
-    let dir = tmp_dir();
+    let dir = TmpDir::new("gate");
     std::fs::write(dir.join("snap.json"), SNAPSHOT).unwrap();
     let ledger = dir.join("ledger.jsonl");
     let ledger = ledger.to_str().unwrap();
@@ -146,13 +168,11 @@ fn record_twice_then_gate_passes_and_synthetic_regression_fails() {
         String::from_utf8_lossy(&out.stdout).contains("REGRESSED"),
         "human rendering names the regression"
     );
-
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn migrate_report_round_trip_in_temp_results() {
-    let dir = tmp_dir();
+    let dir = TmpDir::new("migrate");
     let results = dir.join("results");
     std::fs::create_dir_all(&results).unwrap();
     std::fs::write(results.join("BENCH_kernel.json"), SNAPSHOT).unwrap();
@@ -218,13 +238,11 @@ fn migrate_report_round_trip_in_temp_results() {
     assert!(csv.contains("fleet,r3/z3/t5000,round_latency_mean_ns"));
     assert!(out_dir.join("svg/trend_kernel.svg").is_file());
     assert!(out_dir.join("svg/trend_fleet.svg").is_file());
-
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn gate_with_unknown_flags_or_actions_reports_usage_errors() {
-    let dir = tmp_dir();
+    let dir = TmpDir::new("usage");
     let out = pet(&["bench", "frobnicate"], &dir);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown bench action"));
@@ -234,5 +252,4 @@ fn gate_with_unknown_flags_or_actions_reports_usage_errors() {
         Some(2),
         "missing --baseline is a usage error"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,115 +1,36 @@
-//! Sequential (early-stopping) estimation — an optimization extension.
+//! Sequential (early-stopping) estimation — an optimization extension,
+//! run by [`crate::Estimator::try_run_adaptive`].
 //!
 //! Eq. (20) sizes the round budget from the *asymptotic* per-round deviation
 //! `σ(h) ≈ 1.87271`, which is an upper envelope: near tree boundaries and at
 //! small populations the realized spread is smaller, and a fixed budget then
-//! overshoots. The adaptive session instead monitors the *empirical*
+//! overshoots. Adaptive estimation instead monitors the *empirical*
 //! deviation of the collected gray-node observations and stops as soon as
 //! the implied confidence interval is inside `±ε` at confidence `1 − δ`
-//! (never before `min_rounds`, never after the Eq. (20) budget — so the
-//! worst case equals the paper's protocol exactly).
+//! (never before [`DEFAULT_MIN_ROUNDS`], never after the Eq. (20) budget or
+//! that floor, whichever is larger — so the worst case equals the paper's
+//! protocol exactly). It shares the
+//! slot-by-slot runner with every other run, so the zero probe and the
+//! configured [`Mitigation`](crate::config::Mitigation) apply as usual.
 //!
 //! Sequential stopping peeks at the data, which inflates the realized error
 //! probability relative to a fixed-m analysis; the `adaptive` ablation bench
 //! measures the realized coverage so the trade-off is quantified rather
 //! than hand-waved.
 
-use crate::config::PetConfig;
-use crate::estimator::PetEstimator;
-use crate::oracle::ResponderOracle;
-use crate::reader::run_round;
-use crate::session::EstimateReport;
-use pet_phy::channel::Channel;
-use pet_phy::Air;
-use pet_stats::describe::Describe;
-use rand::Rng;
-
 /// Floor on rounds before the empirical deviation is trusted at all.
 pub const DEFAULT_MIN_ROUNDS: u32 = 32;
-
-/// A PET session that stops as soon as the empirical confidence interval is
-/// tight enough.
-#[derive(Debug, Clone)]
-pub struct AdaptiveSession {
-    config: PetConfig,
-    min_rounds: u32,
-}
-
-impl AdaptiveSession {
-    /// Creates an adaptive session with the default round floor.
-    #[must_use]
-    pub fn new(config: PetConfig) -> Self {
-        Self {
-            config,
-            min_rounds: DEFAULT_MIN_ROUNDS,
-        }
-    }
-
-    /// Overrides the minimum number of rounds before stopping is allowed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_rounds` is zero.
-    #[must_use]
-    pub fn with_min_rounds(mut self, min_rounds: u32) -> Self {
-        assert!(min_rounds > 0, "at least one round is required");
-        self.min_rounds = min_rounds;
-        self
-    }
-
-    /// The wrapped configuration.
-    #[must_use]
-    pub fn config(&self) -> &PetConfig {
-        &self.config
-    }
-
-    /// Runs rounds until the empirical `(ε, δ)` interval closes (or the
-    /// fixed Eq. (20) budget is exhausted).
-    pub fn run<O, C, R>(&self, oracle: &mut O, air: &mut Air<C>, rng: &mut R) -> EstimateReport
-    where
-        O: ResponderOracle,
-        C: Channel,
-        R: Rng + ?Sized,
-    {
-        let accuracy = self.config.accuracy();
-        let budget = self.config.rounds().max(self.min_rounds);
-        let c = accuracy.quantile();
-        // The binding side of Eq. (19): log₂(1+ε) is the smaller margin.
-        let margin = (1.0 + accuracy.epsilon()).log2();
-        let mut estimator = PetEstimator::new(self.config.height());
-        let mut spread = Describe::new();
-        let mut records = Vec::new();
-        for round in 1..=budget {
-            let record = run_round(&self.config, oracle, air, rng);
-            spread.push(f64::from(record.prefix_len));
-            estimator.push(record);
-            records.push(record);
-            if round >= self.min_rounds {
-                // Stop when c·s/√m fits inside the log-domain margin.
-                let half_width = c * spread.sample_std_dev() / f64::from(round).sqrt();
-                if half_width <= margin {
-                    break;
-                }
-            }
-        }
-        EstimateReport {
-            estimate: estimator.estimate(),
-            rounds: estimator.rounds(),
-            mean_prefix_len: estimator.mean_prefix_len(),
-            metrics: *air.metrics(),
-            zero_detected: false,
-            records,
-            phy: crate::session::phy_fold(&self.config, air.metrics()),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Backend, Mitigation, PetConfig};
+    use crate::front::Estimator;
     use crate::oracle::CodeRoster;
+    use crate::session::EstimateReport;
     use pet_hash::family::AnyFamily;
     use pet_phy::channel::PerfectChannel;
+    use pet_phy::Air;
     use pet_stats::accuracy::Accuracy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -124,7 +45,9 @@ mod tests {
         let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
         let mut air = Air::new(PerfectChannel);
         let mut rng = StdRng::seed_from_u64(seed);
-        AdaptiveSession::new(config).run(&mut oracle, &mut air, &mut rng)
+        Estimator::new(config)
+            .try_run_adaptive(&mut oracle, &mut air, &mut rng)
+            .unwrap()
     }
 
     /// Adaptive stops at or under the Eq. (20) budget and still lands near n.
@@ -154,19 +77,8 @@ mod tests {
     /// Never stops before the floor.
     #[test]
     fn respects_min_rounds() {
-        let config = PetConfig::builder()
-            .accuracy(Accuracy::new(0.45, 0.45).unwrap())
-            .build()
-            .unwrap();
-        let keys: Vec<u64> = (0..100).collect();
-        let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
-        let mut air = Air::new(PerfectChannel);
-        let mut rng = StdRng::seed_from_u64(9);
-        let report =
-            AdaptiveSession::new(config)
-                .with_min_rounds(8)
-                .run(&mut oracle, &mut air, &mut rng);
-        assert!(report.rounds >= 8);
+        let report = run_once(100, 0.45, 0.45, 9);
+        assert_eq!(report.rounds, DEFAULT_MIN_ROUNDS);
     }
 
     /// With a requirement so tight the empirical interval never closes
@@ -184,9 +96,62 @@ mod tests {
         assert!(report.rounds > 10 * DEFAULT_MIN_ROUNDS);
     }
 
+    /// When the Eq. (20) budget is at or under the floor, adaptive runs the
+    /// floor exactly, so it must equal a fixed run of that many rounds bit
+    /// for bit — through the same zero probe and the same mitigation.
     #[test]
-    #[should_panic(expected = "at least one round")]
-    fn zero_floor_rejected() {
-        let _ = AdaptiveSession::new(PetConfig::paper_default()).with_min_rounds(0);
+    fn budget_under_floor_equals_fixed_run() {
+        let mitigations = [
+            Mitigation::None,
+            Mitigation::TrimmedMean { trim: 3 },
+            Mitigation::ReProbe { probes: 2 },
+        ];
+        for mitigation in mitigations {
+            for (n, zero_probe) in [(600u64, false), (600, true), (0, true)] {
+                let config = PetConfig::builder()
+                    .accuracy(Accuracy::new(0.45, 0.45).unwrap())
+                    .backend(Backend::Oracle)
+                    .mitigation(mitigation)
+                    .zero_probe(zero_probe)
+                    .build()
+                    .unwrap();
+                assert!(config.rounds() <= DEFAULT_MIN_ROUNDS);
+                let estimator = Estimator::new(config);
+                let keys: Vec<u64> = (0..n).collect();
+                let run = |adaptive: bool| {
+                    let mut oracle = CodeRoster::new(&keys, &config, estimator.family());
+                    let mut air = Air::new(PerfectChannel);
+                    let mut rng = StdRng::seed_from_u64(0xADA);
+                    if adaptive {
+                        estimator.try_run_adaptive(&mut oracle, &mut air, &mut rng)
+                    } else {
+                        estimator.try_run_oracle(
+                            DEFAULT_MIN_ROUNDS,
+                            &mut oracle,
+                            &mut air,
+                            &mut rng,
+                        )
+                    }
+                    .unwrap()
+                };
+                let (fixed, adaptive) = (run(false), run(true));
+                let label = format!("{mitigation:?}, n = {n}, zero probe {zero_probe}");
+                assert_eq!(
+                    fixed.estimate.to_bits(),
+                    adaptive.estimate.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(
+                    fixed.mean_prefix_len.to_bits(),
+                    adaptive.mean_prefix_len.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(fixed.records, adaptive.records, "{label}");
+                assert_eq!(fixed.metrics, adaptive.metrics, "{label}");
+                assert_eq!(fixed.rounds, adaptive.rounds, "{label}");
+                assert_eq!(fixed.zero_detected, adaptive.zero_detected, "{label}");
+                assert_eq!(adaptive.zero_detected, n == 0, "{label}");
+            }
+        }
     }
 }

@@ -34,13 +34,15 @@ pub enum TagMode {
 /// equivalence suite); they differ only in speed and generality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The slot-by-slot oracle reader ([`crate::PetSession`]): every query
-    /// goes through the [`crate::oracle::ResponderOracle`] trait and the
-    /// radio [`pet_phy::Air`], so transcripts and lossy channels work.
+    /// The slot-by-slot reader: every query goes through a
+    /// [`crate::oracle::ResponderOracle`] (the [`crate::CodeRoster`]) and
+    /// the radio [`pet_phy::Air`]. The reference the kernel is pinned
+    /// against.
     Oracle,
-    /// The batched gray-node kernel ([`crate::SessionEngine`]): one binary
-    /// search per round over sorted codes — ~5× faster at paper scale, the
-    /// default for sweeps.
+    /// The batched gray-node kernel ([`crate::kernel`]): over the perfect
+    /// channel, one binary search per round over a sorted [`crate::CodeBank`]
+    /// — ~5× faster at paper scale, the default. Lossy channels and
+    /// transcripts run slot by slot over the same bank.
     #[default]
     Kernel,
 }

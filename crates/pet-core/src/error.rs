@@ -2,7 +2,7 @@
 //!
 //! The original API panicked on misuse (zero rounds, out-of-range `delta`);
 //! those panicking methods remain as thin wrappers, while the `try_*`
-//! variants ([`crate::PetSession::try_run_rounds`],
+//! variants ([`crate::Estimator::try_run_oracle`],
 //! [`crate::EstimateReport::try_confidence_interval`]) surface the same
 //! conditions as values for callers that must not unwind — CLI argument
 //! handling, long-running sweeps, FFI boundaries.

@@ -1,23 +1,33 @@
-//! The unified estimation front door.
+//! The estimation front door.
 //!
-//! Historically callers picked an execution engine by hand: the slot-by-slot
-//! oracle reader through [`PetSession`], or the batched gray-node kernel
-//! through [`SessionEngine`]. Both produce bit-for-bit identical
-//! [`EstimateReport`]s for the same RNG stream, so the choice is purely an
-//! execution detail — and now lives in the configuration as
-//! [`Backend`](crate::config::Backend). [`Estimator`] reads it and routes
-//! every call accordingly; experiments, the CLI, and doc examples all go
-//! through this one type.
+//! [`Estimator`] is the one type that runs PET: `m` rounds of Algorithm 3
+//! (or Algorithm 1 under linear search), averaged by Eq. (14), with `m`
+//! sized by Eq. (20). It dispatches to two private runners:
+//!
+//! - **the slot-by-slot runner**, generic over any [`ResponderOracle`] and
+//!   [`Air`]: zero probe, round loop ([`run_round`]), aggregation, PHY
+//!   fold. It serves [`Backend::Oracle`], the kernel backend's lossy and
+//!   transcribed runs (through a `BankOracle` view of the [`CodeBank`]),
+//!   caller-supplied oracles ([`Estimator::try_run_oracle`]), and
+//!   sequential stopping ([`Estimator::try_run_adaptive`]);
+//! - **the lossless kernel** ([`crate::kernel`]): one binary search per
+//!   round over sorted codes, with air metrics synthesized arithmetically.
+//!
+//! Both produce bit-for-bit identical [`EstimateReport`]s for the same RNG
+//! stream, so [`Backend`] is purely an execution detail.
 
+use crate::adaptive::DEFAULT_MIN_ROUNDS;
 use crate::bits::BitString;
-use crate::config::{Backend, PetConfig};
+use crate::config::{Backend, Mitigation, PetConfig, TagMode};
 use crate::error::PetError;
-use crate::kernel::CodeBank;
-use crate::oracle::{CodeRoster, ResponderOracle};
-use crate::session::{EstimateReport, PetSession, SessionEngine};
+use crate::kernel::{self, CodeBank};
+use crate::oracle::{CodeRoster, ResponderOracle, RoundStart};
+use crate::reader::{self, run_round, RoundRecord};
+use crate::session::EstimateReport;
 use pet_hash::family::AnyFamily;
-use pet_phy::channel::Channel;
-use pet_phy::{Air, Transcript};
+use pet_phy::channel::{Channel, ChannelModel};
+use pet_phy::{Air, AirMetrics, SlotOutcome, Transcript};
+use pet_stats::describe::Describe;
 use pet_tags::population::TagPopulation;
 use rand::Rng;
 use std::sync::Arc;
@@ -40,50 +50,40 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Estimator {
-    engine: SessionEngine,
+    config: PetConfig,
+    family: AnyFamily,
 }
 
 impl Estimator {
     /// Creates an estimator with the default fast hash family.
     #[must_use]
     pub fn new(config: PetConfig) -> Self {
-        Self {
-            engine: SessionEngine::new(config),
-        }
+        Self::with_family(config, AnyFamily::default())
     }
 
-    /// Creates an estimator with an explicit hash family.
+    /// Creates an estimator with an explicit hash family (e.g. MD5/SHA-1 as
+    /// §4.5 suggests for manufactured codes).
     #[must_use]
     pub fn with_family(config: PetConfig, family: AnyFamily) -> Self {
-        Self {
-            engine: SessionEngine::with_family(config, family),
-        }
-    }
-
-    /// Wraps an existing session (configuration + family).
-    #[must_use]
-    pub fn from_session(session: PetSession) -> Self {
-        Self {
-            engine: SessionEngine::from_session(session),
-        }
+        Self { config, family }
     }
 
     /// The estimator's configuration.
     #[must_use]
     pub fn config(&self) -> &PetConfig {
-        self.engine.session().config()
+        &self.config
     }
 
     /// The estimator's hash family.
     #[must_use]
     pub fn family(&self) -> AnyFamily {
-        self.engine.session().family()
+        self.family
     }
 
     /// The configured execution backend.
     #[must_use]
     pub fn backend(&self) -> Backend {
-        self.config().backend()
+        self.config.backend()
     }
 
     /// Builds the [`CodeBank`] matching this estimator's configuration
@@ -91,7 +91,7 @@ impl Estimator {
     /// trials).
     #[must_use]
     pub fn bank_for_keys(&self, keys: Arc<Vec<u64>>) -> CodeBank {
-        self.engine.bank_for_keys(keys)
+        CodeBank::for_config(keys, &self.config, self.family)
     }
 
     /// Estimates a population with the configured number of rounds
@@ -101,7 +101,7 @@ impl Estimator {
         population: &TagPopulation,
         rng: &mut R,
     ) -> EstimateReport {
-        self.estimate_population_rounds(population, self.config().rounds(), rng)
+        self.estimate_population_rounds(population, self.config.rounds(), rng)
     }
 
     /// Like [`Self::estimate_population`] with an explicit round count.
@@ -149,15 +149,13 @@ impl Estimator {
     ) -> Result<EstimateReport, PetError> {
         match self.backend() {
             Backend::Kernel => {
-                let mut bank = self.engine.bank_for_keys(Arc::new(keys.to_vec()));
-                self.engine.try_run_fast(&mut bank, rounds, rng)
+                let mut bank = self.bank_for_keys(Arc::new(keys.to_vec()));
+                self.try_run_bank(&mut bank, rounds, rng)
             }
             Backend::Oracle => {
-                let mut oracle = CodeRoster::new(keys, self.config(), self.family());
-                let mut air = Air::new(self.config().channel());
-                self.engine
-                    .session()
-                    .try_run_rounds(rounds, &mut oracle, &mut air, rng)
+                let mut oracle = CodeRoster::new(keys, &self.config, self.family);
+                let mut air = Air::new(self.config.channel());
+                self.try_run_oracle(rounds, &mut oracle, &mut air, rng)
             }
         }
     }
@@ -196,23 +194,24 @@ impl Estimator {
         rounds: u32,
         rng: &mut R,
     ) -> Result<EstimateReport, PetError> {
-        match self.backend() {
-            Backend::Kernel => self.engine.try_run_fast(bank, rounds, rng),
-            Backend::Oracle => {
-                let mut oracle = self.roster_from_bank(bank);
-                let mut air = Air::new(self.config().channel());
-                self.engine
-                    .session()
-                    .try_run_rounds(rounds, &mut oracle, &mut air, rng)
+        match (self.backend(), self.config.channel()) {
+            (Backend::Kernel, ChannelModel::Perfect) => {
+                if rounds == 0 {
+                    return Err(PetError::ZeroRounds);
+                }
+                let _session_span = pet_obs::span("core.session.kernel");
+                self.run_fast_lossless(bank, rounds, rng)
             }
+            (_, channel) => self.run_bank_slots(bank, rounds, &mut Air::new(channel), rng),
         }
     }
 
     /// Like [`Self::try_run_bank`], but also returns the slot-by-slot
     /// [`Transcript`] (up to `capacity` slots). Both backends run
-    /// slot-accurately here, so transcripts — not just reports — are
-    /// bit-for-bit comparable across [`Backend`]s under a shared seed;
-    /// the differential fuzz and golden-trace suites lean on this.
+    /// slot-accurately here, even over the perfect channel, so transcripts
+    /// — not just reports — are bit-for-bit comparable across [`Backend`]s
+    /// under a shared seed; the differential fuzz and golden-trace suites
+    /// lean on this.
     ///
     /// # Errors
     ///
@@ -224,19 +223,10 @@ impl Estimator {
         capacity: usize,
         rng: &mut R,
     ) -> Result<(EstimateReport, Transcript), PetError> {
-        match self.backend() {
-            Backend::Kernel => self.engine.try_run_transcribed(bank, rounds, capacity, rng),
-            Backend::Oracle => {
-                let mut oracle = self.roster_from_bank(bank);
-                let mut air = Air::new(self.config().channel()).with_transcript(capacity);
-                let report =
-                    self.engine
-                        .session()
-                        .try_run_rounds(rounds, &mut oracle, &mut air, rng)?;
-                let transcript = air.transcript().cloned().expect("transcript was requested");
-                Ok((report, transcript))
-            }
-        }
+        let mut air = Air::new(self.config.channel()).with_transcript(capacity);
+        let report = self.run_bank_slots(bank, rounds, &mut air, rng)?;
+        let transcript = air.transcript().cloned().expect("transcript was requested");
+        Ok((report, transcript))
     }
 
     /// Runs `rounds` against a caller-supplied [`ResponderOracle`] and
@@ -245,7 +235,7 @@ impl Estimator {
     /// build itself (a multi-reader controller, a networked fleet
     /// coordinator, a zone shard on another machine).
     ///
-    /// Always executes the slot-by-slot session path regardless of the
+    /// Always executes the slot-by-slot runner regardless of the
     /// configured [`Backend`]: the batched kernel requires a local
     /// [`CodeBank`], which an external oracle by definition does not have.
     /// The RNG stream (one path per round, plus a per-round seed in active
@@ -267,16 +257,185 @@ impl Estimator {
         C: Channel,
         R: Rng + ?Sized,
     {
-        self.engine
-            .session()
-            .try_run_rounds(rounds, oracle, air, rng)
+        self.run_slots("core.session.oracle", rounds, oracle, air, rng, |_, _| {
+            false
+        })
+    }
+
+    /// Like [`Self::try_run_oracle`], but stops as soon as the empirical
+    /// `(ε, δ)` interval of the collected gray-node observations closes
+    /// (sequential stopping, see [`crate::adaptive`]). Runs at least
+    /// [`DEFAULT_MIN_ROUNDS`] rounds and at most the larger of that floor
+    /// and the Eq. (20) budget, so with a budget at or under the floor it
+    /// equals `try_run_oracle(DEFAULT_MIN_ROUNDS, ..)` bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// None in practice: the round budget is never zero. The `Result`
+    /// matches [`Self::try_run_oracle`].
+    pub fn try_run_adaptive<O, C, R>(
+        &self,
+        oracle: &mut O,
+        air: &mut Air<C>,
+        rng: &mut R,
+    ) -> Result<EstimateReport, PetError>
+    where
+        O: ResponderOracle,
+        C: Channel,
+        R: Rng + ?Sized,
+    {
+        let accuracy = self.config.accuracy();
+        let budget = self.config.rounds().max(DEFAULT_MIN_ROUNDS);
+        let c = accuracy.quantile();
+        // The binding side of Eq. (19): log₂(1+ε) is the smaller margin.
+        let margin = (1.0 + accuracy.epsilon()).log2();
+        let mut spread = Describe::new();
+        let stop = |record: &RoundRecord, round: u32| {
+            spread.push(f64::from(record.prefix_len));
+            // Stop when c·s/√m fits inside the log-domain margin.
+            round >= DEFAULT_MIN_ROUNDS
+                && c * spread.sample_std_dev() / f64::from(round).sqrt() <= margin
+        };
+        self.run_slots("core.session.oracle", budget, oracle, air, rng, stop)
+    }
+
+    /// The slot-by-slot runner: the zero probe (if configured), then up to
+    /// `budget` rounds of [`run_round`] — ending early once `stop(record,
+    /// round)` says so — aggregated under the configured mitigation.
+    fn run_slots<O, C, R>(
+        &self,
+        span: &'static str,
+        budget: u32,
+        oracle: &mut O,
+        air: &mut Air<C>,
+        rng: &mut R,
+        mut stop: impl FnMut(&RoundRecord, u32) -> bool,
+    ) -> Result<EstimateReport, PetError>
+    where
+        O: ResponderOracle,
+        C: Channel,
+        R: Rng + ?Sized,
+    {
+        if budget == 0 {
+            return Err(PetError::ZeroRounds);
+        }
+        let _session_span = pet_obs::span(span);
+        let config = &self.config;
+        if config.zero_probe() {
+            // One match-all slot (re-probed under `Mitigation::ReProbe` —
+            // a missed answer here would wrongly declare the region
+            // empty): if nobody answers, the region is empty.
+            let responders = oracle.responders(0);
+            let outcome = reader::probed_slot(config.mitigation(), air, responders, 1, &mut 0, rng);
+            if outcome.is_idle() {
+                return Ok(EstimateReport::empty_region(config, *air.metrics()));
+            }
+        }
+        let mut records = Vec::with_capacity(budget as usize);
+        for round in 1..=budget {
+            let record = run_round(config, oracle, air, rng);
+            records.push(record);
+            if stop(&record, round) {
+                break;
+            }
+        }
+        Ok(EstimateReport::from_records(
+            config,
+            records,
+            *air.metrics(),
+        ))
+    }
+
+    /// A slot-by-slot run over a bank: the kernel backend queries the bank
+    /// in place through a [`BankOracle`]; the oracle backend lowers it to
+    /// the equivalent [`CodeRoster`] first.
+    fn run_bank_slots<R: Rng + ?Sized>(
+        &self,
+        bank: &mut CodeBank,
+        rounds: u32,
+        air: &mut Air<ChannelModel>,
+        rng: &mut R,
+    ) -> Result<EstimateReport, PetError> {
+        match self.backend() {
+            Backend::Kernel => {
+                let mut oracle = BankOracle {
+                    bank,
+                    family: self.family,
+                    height: self.config.height(),
+                    path: None,
+                };
+                self.run_slots(
+                    "core.session.kernel",
+                    rounds,
+                    &mut oracle,
+                    air,
+                    rng,
+                    |_, _| false,
+                )
+            }
+            Backend::Oracle => {
+                let mut oracle = self.roster_from_bank(bank);
+                self.try_run_oracle(rounds, &mut oracle, air, rng)
+            }
+        }
+    }
+
+    /// The lossless arithmetic fast path: one binary search per round,
+    /// metrics synthesized by [`kernel::apply_round_metrics`]. Bit-for-bit
+    /// identical to the slot-by-slot runner over [`ChannelModel::Perfect`]
+    /// (which draws no slot-level randomness).
+    fn run_fast_lossless<R: Rng + ?Sized>(
+        &self,
+        bank: &mut CodeBank,
+        rounds: u32,
+        rng: &mut R,
+    ) -> Result<EstimateReport, PetError> {
+        let config = &self.config;
+        let family = self.family;
+        let height = config.height();
+        let probes = match config.mitigation() {
+            Mitigation::ReProbe { probes } => probes,
+            _ => 0,
+        };
+        let mut metrics = AirMetrics::default();
+        if config.zero_probe() {
+            let responders = bank.population();
+            let outcome = SlotOutcome::from_detected(responders);
+            metrics.record_slot(1, responders, outcome);
+            if outcome.is_idle() {
+                // Perfect-channel re-probes hear the same silence.
+                for _ in 0..probes {
+                    metrics.record_slot(1, responders, outcome);
+                }
+                return Ok(EstimateReport::empty_region(config, metrics));
+            }
+        }
+        let mut records = Vec::with_capacity(rounds as usize);
+        for _ in 0..rounds {
+            let round_span = pet_obs::span("core.round");
+            let path = BitString::random(height, rng);
+            let seed = match config.tag_mode() {
+                TagMode::ActivePerRound => Some(rng.random::<u64>()),
+                TagMode::PassivePreloaded => None,
+            };
+            bank.begin_round(seed, family, height);
+            let l = kernel::locate_prefix_len(bank.codes(), &path);
+            let record = kernel::round_record_probed(height, config.search(), l, probes);
+            let before = metrics;
+            kernel::apply_round_metrics(bank.codes(), &path, config, l, &mut metrics);
+            drop(round_span);
+            reader::record_round_telemetry(config, &record);
+            reader::record_outcome_telemetry(&before, &metrics);
+            records.push(record);
+        }
+        Ok(EstimateReport::from_records(config, records, metrics))
     }
 
     /// Lowers a bank to the equivalent slot-by-slot oracle: passive banks
     /// already hold the manufacture-time codes, active banks re-hash from
     /// their keys exactly as the roster does.
     fn roster_from_bank(&self, bank: &CodeBank) -> CodeRoster {
-        let height = self.config().height();
+        let height = self.config.height();
         match bank {
             CodeBank::Passive { codes } => {
                 let codes: Vec<BitString> = codes
@@ -285,8 +444,46 @@ impl Estimator {
                     .collect();
                 CodeRoster::from_codes(&codes, height)
             }
-            CodeBank::Active { keys, .. } => CodeRoster::new(keys, self.config(), self.family()),
+            CodeBank::Active { keys, .. } => CodeRoster::new(keys, &self.config, self.family),
         }
+    }
+}
+
+/// [`ResponderOracle`] view over a [`CodeBank`], used by the kernel
+/// backend's slot-by-slot runs so lossy-channel rounds replay the exact
+/// protocol loop ([`run_round`]) that the roster oracle drives —
+/// equivalence with [`Backend::Oracle`] holds by construction. Prefix
+/// counts come from [`kernel::count_prefix_sorted`] because under a lossy
+/// channel the busy query lengths are not monotone, so the roster's
+/// narrowing optimisation does not apply.
+struct BankOracle<'a> {
+    bank: &'a mut CodeBank,
+    family: AnyFamily,
+    height: u32,
+    path: Option<BitString>,
+}
+
+impl ResponderOracle for BankOracle<'_> {
+    fn begin_round(&mut self, start: &RoundStart) {
+        self.bank.begin_round(start.seed, self.family, self.height);
+        self.path = Some(start.path);
+    }
+
+    fn responders(&mut self, prefix_len: u32) -> u64 {
+        if prefix_len == 0 {
+            // Matches `CodeRoster`: the root query (and zero probe) counts
+            // everyone, valid even before the first round starts.
+            return self.bank.population();
+        }
+        let path = self
+            .path
+            .as_ref()
+            .expect("responders() before begin_round()");
+        kernel::count_prefix_sorted(self.bank.codes(), path, prefix_len)
+    }
+
+    fn population(&self) -> u64 {
+        self.bank.population()
     }
 }
 
@@ -358,16 +555,22 @@ mod tests {
         }
     }
 
+    /// The default backend is the kernel, and the key-slice entry point
+    /// equals a run over a prebuilt bank.
     #[test]
     fn default_backend_matches_engine_path() {
-        let config = config_for(Backend::Kernel, TagMode::PassivePreloaded);
+        let config = PetConfig::builder()
+            .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+            .build()
+            .unwrap();
+        assert_eq!(config.backend(), Backend::Kernel);
         let estimator = Estimator::new(config);
-        let engine = SessionEngine::new(config);
         let keys: Vec<u64> = (0..500).collect();
+        let mut bank = estimator.bank_for_keys(Arc::new(keys.clone()));
         let mut rng_a = StdRng::seed_from_u64(5);
         let mut rng_b = StdRng::seed_from_u64(5);
         let a = estimator.estimate_keys_rounds(&keys, 16, &mut rng_a);
-        let b = engine.estimate_keys_rounds(&keys, 16, &mut rng_b);
+        let b = estimator.run_bank(&mut bank, 16, &mut rng_b);
         assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
         assert_eq!(a.records, b.records);
     }

@@ -20,26 +20,28 @@
 //!   the exact sorted-roster fast path.
 //! - [`reader`]: Algorithm 1 (linear) and Algorithm 3 (binary search).
 //! - [`estimator`]: Eq. (12)–(14) aggregation.
-//! - [`session`]: end-to-end `m`-round estimation with air-cost accounting.
-//! - [`front`]: the unified [`Estimator`] entry point dispatching on the
-//!   configured [`Backend`].
+//! - [`kernel`]: the batched lossless round kernel over sorted
+//!   [`CodeBank`]s.
+//! - [`front`]: [`Estimator`], the one estimation entry point — `m` rounds
+//!   with air-cost accounting, on the configured [`Backend`].
+//! - [`session`]: the [`EstimateReport`] every estimation returns.
 //! - [`monitor`]: continuous-monitoring estimation over a churning
 //!   population — sliding windows, Δn differentials, missing-tag alarm
 //!   (extension).
 //! - [`error`]: [`PetError`] for the fallible (`try_*`) API surface.
-//! - [`adaptive`]: sequential early-stopping sessions (extension).
+//! - [`adaptive`]: sequential early stopping (extension).
 //!
 //! # Quick start
 //!
 //! ```
-//! use pet_core::{PetConfig, PetSession};
+//! use pet_core::{Estimator, PetConfig};
 //! use pet_tags::population::TagPopulation;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(42);
 //! let warehouse = TagPopulation::sequential(25_000);
-//! let session = PetSession::new(PetConfig::paper_default());
-//! let report = session.estimate_population(&warehouse, &mut rng);
+//! let estimator = Estimator::new(PetConfig::paper_default());
+//! let report = estimator.estimate_population(&warehouse, &mut rng);
 //! // ±5% with 99% confidence (the paper's default requirement).
 //! assert!((report.estimate - 25_000.0).abs() < 0.05 * 25_000.0);
 //! // O(log log n): exactly 5 slots per round at H = 32.
@@ -62,7 +64,6 @@ pub mod reader;
 pub mod session;
 pub mod tree;
 
-pub use adaptive::AdaptiveSession;
 pub use bits::BitString;
 pub use config::{Backend, CommandEncoding, PetConfig, SearchStrategy, TagMode};
 pub use error::PetError;
@@ -72,4 +73,4 @@ pub use kernel::CodeBank;
 pub use monitor::{Monitor, MonitorConfig, MonitorUpdate};
 pub use oracle::{CodeRoster, ResponderOracle, TagFleet};
 pub use reader::RoundRecord;
-pub use session::{EstimateReport, PetSession, SessionEngine};
+pub use session::EstimateReport;

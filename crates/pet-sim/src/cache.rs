@@ -257,26 +257,30 @@ impl RosterCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pet_core::session::{PetSession, SessionEngine};
+    use pet_core::config::Backend;
+    use pet_core::front::Estimator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn cached_bank_estimates_match_oracle_path() {
-        let config = PetConfig::builder()
-            .manufacture_seed(0xCAFE)
-            .build()
-            .unwrap();
+        let build = |backend| {
+            let config = PetConfig::builder()
+                .manufacture_seed(0xCAFE)
+                .backend(backend)
+                .build()
+                .unwrap();
+            Estimator::new(config)
+        };
+        let (session, engine) = (build(Backend::Oracle), build(Backend::Kernel));
         let cache = RosterCache::default();
-        let session = PetSession::new(config);
-        let engine = SessionEngine::from_session(session.clone());
         let pop = TagPopulation::sequential(1_500);
         for round in 0..3 {
-            let mut bank = cache.sequential_bank(1_500, &config, session.family());
+            let mut bank = cache.sequential_bank(1_500, engine.config(), engine.family());
             let mut rng_a = StdRng::seed_from_u64(round);
             let mut rng_b = StdRng::seed_from_u64(round);
             let slow = session.estimate_population_rounds(&pop, 16, &mut rng_a);
-            let fast = engine.run_fast(&mut bank, 16, &mut rng_b);
+            let fast = engine.run_bank(&mut bank, 16, &mut rng_b);
             assert_eq!(slow.estimate.to_bits(), fast.estimate.to_bits());
             assert_eq!(slow.metrics, fast.metrics);
         }

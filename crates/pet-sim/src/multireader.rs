@@ -470,13 +470,16 @@ impl ResponderOracle for ControllerOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pet_core::session::PetSession;
+    use pet_core::config::Backend;
     use pet_phy::channel::LossyChannel;
     use pet_stats::accuracy::Accuracy;
 
+    /// Pins the slot-by-slot reader, the reference the single-reader
+    /// comparisons run against.
     fn config() -> PetConfig {
         PetConfig::builder()
             .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+            .backend(Backend::Oracle)
             .build()
             .unwrap()
     }
@@ -549,7 +552,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let multi = deployment.estimate(&config(), 256, ChannelModel::Perfect, &mut rng);
         let mut rng = StdRng::seed_from_u64(8);
-        let single = PetSession::new(config()).estimate_population_rounds(&pop, 256, &mut rng);
+        let single = Estimator::new(config()).estimate_population_rounds(&pop, 256, &mut rng);
         // Same seed, same rounds — identical statistic path.
         assert!((multi.estimate - single.estimate).abs() < 1e-9);
         assert_eq!(multi.controller_slots, single.metrics.slots);

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use pet_core::config::{Backend, CommandEncoding, PetConfig, SearchStrategy, TagMode};
     pub use pet_core::error::PetError;
     pub use pet_core::front::Estimator;
-    pub use pet_core::session::{EstimateReport, PetSession};
+    pub use pet_core::session::EstimateReport;
     pub use pet_phy::channel::ChannelModel;
     pub use pet_phy::{Air, AirMetrics, PhyProfile, PhyReport, TimeModel};
     pub use pet_stats::accuracy::Accuracy;

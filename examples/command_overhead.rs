@@ -34,12 +34,14 @@ fn main() {
             .encoding(encoding)
             .build()
             .expect("valid config");
-        let session = PetSession::new(config);
+        let estimator = Estimator::new(config);
         let keys: Vec<u64> = (0..n as u64).collect();
-        let mut oracle = CodeRoster::new(&keys, &config, session.family());
+        let mut oracle = CodeRoster::new(&keys, &config, estimator.family());
         let mut air = Air::new(ChannelModel::Perfect);
         let mut rng = StdRng::seed_from_u64(0xC0DE);
-        let report = session.run(&mut oracle, &mut air, &mut rng);
+        let report = estimator
+            .try_run_oracle(config.rounds(), &mut oracle, &mut air, &mut rng)
+            .expect("at least one round");
         let time = TimeModel::gen2().elapsed(&report.metrics);
         println!(
             "{:<16} {:>8} {:>10} {:>14} {:>12.1} {:>10.2} s",

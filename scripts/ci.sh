@@ -25,6 +25,13 @@ cargo build --examples
 echo "==> cargo test -q"
 cargo test -q
 
+# The repository benchmark is a workspace of its own (perfbench/Cargo.toml)
+# built against these crates, so an API change that breaks it would pass
+# every step above. Build it and run its self-tests here.
+echo "==> perfbench: build and self-tests"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Statistical conformance gate: fixed-seed empirical checks of the paper's
 # (ε, δ) guarantee, the gray-node law (KS), lossy-channel backend
 # equivalence, and bias bounds under loss. Deterministic, runs in seconds.

@@ -37,8 +37,9 @@ fn cloned_tags_count_once() {
         let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
         let mut air = Air::new(ChannelModel::Perfect);
         let mut rng = StdRng::seed_from_u64(trial_seed);
-        PetSession::new(config)
-            .run_rounds(256, &mut oracle, &mut air, &mut rng)
+        Estimator::new(config)
+            .try_run_oracle(256, &mut oracle, &mut air, &mut rng)
+            .unwrap()
             .estimate
     });
     let _ = config;
@@ -73,8 +74,9 @@ fn key_structure_invariance() {
             let mut oracle = CodeRoster::new(keys, &config, AnyFamily::default());
             let mut air = Air::new(ChannelModel::Perfect);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
-                .run_rounds(128, &mut oracle, &mut air, &mut rng)
+            Estimator::new(config)
+                .try_run_oracle(128, &mut oracle, &mut air, &mut rng)
+                .unwrap()
                 .estimate
         });
         means.push(summary.mean / n as f64);
@@ -103,8 +105,9 @@ fn saturation_bias_is_bounded_not_hidden() {
             let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
             let mut air = Air::new(ChannelModel::Perfect);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
-                .run_rounds(512, &mut oracle, &mut air, &mut rng)
+            Estimator::new(config)
+                .try_run_oracle(512, &mut oracle, &mut air, &mut rng)
+                .unwrap()
                 .estimate
         });
         let acc = summary.mean / n as f64;
@@ -157,8 +160,9 @@ fn single_tag_is_estimated_sanely() {
             let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
             let mut air = Air::new(PerfectChannel);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
-                .run_rounds(64, &mut oracle, &mut air, &mut rng)
+            Estimator::new(config)
+                .try_run_oracle(64, &mut oracle, &mut air, &mut rng)
+                .unwrap()
                 .estimate
         });
         assert!(
@@ -191,8 +195,9 @@ fn false_busy_biases_up_boundedly() {
             };
             let mut air = Air::new(channel);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
-                .run_rounds(256, &mut oracle, &mut air, &mut rng)
+            Estimator::new(config)
+                .try_run_oracle(256, &mut oracle, &mut air, &mut rng)
+                .unwrap()
                 .estimate
         });
         summary.mean / n as f64
@@ -216,12 +221,16 @@ fn sessions_do_not_leak_state() {
     let config = quick_config();
     let keys: Vec<u64> = (0..2_000).collect();
     let mut oracle = CodeRoster::new(&keys, &config, AnyFamily::default());
-    let session = PetSession::new(config);
+    let estimator = Estimator::new(config);
     let mut air = Air::new(PerfectChannel);
     let mut rng = StdRng::seed_from_u64(0x0AD7);
-    let first = session.run_rounds(128, &mut oracle, &mut air, &mut rng);
+    let first = estimator
+        .try_run_oracle(128, &mut oracle, &mut air, &mut rng)
+        .unwrap();
     let slots_after_first = air.metrics().slots;
-    let second = session.run_rounds(128, &mut oracle, &mut air, &mut rng);
+    let second = estimator
+        .try_run_oracle(128, &mut oracle, &mut air, &mut rng)
+        .unwrap();
     assert_eq!(air.metrics().slots, slots_after_first * 2);
     for report in [&first, &second] {
         let rel = (report.estimate - 2_000.0).abs() / 2_000.0;

@@ -22,10 +22,11 @@ fn accuracy_guarantee_holds() {
         let config = PetConfig::builder()
             .accuracy(accuracy)
             .manufacture_seed(trial_seed)
+            .backend(Backend::Oracle)
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(trial_seed);
-        PetSession::new(config)
+        Estimator::new(config)
             .estimate_population_rounds(&TagPopulation::sequential(n), rounds, &mut rng)
             .estimate
     });
@@ -48,10 +49,11 @@ fn slots_per_round_independent_of_population() {
     for &n in &[100usize, 10_000, 1_000_000] {
         let config = PetConfig::builder()
             .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+            .backend(Backend::Oracle)
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let report = PetSession::new(config).estimate_population_rounds(
+        let report = Estimator::new(config).estimate_population_rounds(
             &TagPopulation::sequential(n),
             32,
             &mut rng,
@@ -81,13 +83,14 @@ fn hash_families_are_interchangeable() {
                 .manufacture_seed(trial_seed)
                 .build()
                 .unwrap();
-            let session = PetSession::with_family(config, AnyFamily::new(kind));
+            let estimator = Estimator::with_family(config, AnyFamily::new(kind));
             let keys: Vec<u64> = (0..n as u64).collect();
-            let mut oracle = pet_core::oracle::CodeRoster::new(&keys, &config, session.family());
+            let mut oracle = pet_core::oracle::CodeRoster::new(&keys, &config, estimator.family());
             let mut air = Air::new(ChannelModel::Perfect);
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            session
-                .run_rounds(128, &mut oracle, &mut air, &mut rng)
+            estimator
+                .try_run_oracle(128, &mut oracle, &mut air, &mut rng)
+                .unwrap()
                 .estimate
         });
         means.push(summary.mean / n as f64);
@@ -109,10 +112,11 @@ fn active_and_passive_modes_equivalent() {
                 .accuracy(Accuracy::new(0.2, 0.2).unwrap())
                 .tag_mode(mode)
                 .manufacture_seed(trial_seed)
+                .backend(Backend::Oracle)
                 .build()
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(trial_seed);
-            PetSession::new(config)
+            Estimator::new(config)
                 .estimate_population_rounds(&TagPopulation::sequential(n), 128, &mut rng)
                 .estimate
         });
@@ -136,11 +140,12 @@ fn estimation_never_touches_tag_identity() {
     let b = TagPopulation::random(2_000, &mut rng);
     let config = PetConfig::builder()
         .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+        .backend(Backend::Oracle)
         .build()
         .unwrap();
-    let session = PetSession::new(config);
-    let ra = session.estimate_population_rounds(&a, 256, &mut StdRng::seed_from_u64(9));
-    let rb = session.estimate_population_rounds(&b, 256, &mut StdRng::seed_from_u64(9));
+    let estimator = Estimator::new(config);
+    let ra = estimator.estimate_population_rounds(&a, 256, &mut StdRng::seed_from_u64(9));
+    let rb = estimator.estimate_population_rounds(&b, 256, &mut StdRng::seed_from_u64(9));
     assert!((ra.estimate - 2_000.0).abs() / 2_000.0 < 0.2);
     assert!((rb.estimate - 2_000.0).abs() / 2_000.0 < 0.2);
 }
@@ -151,10 +156,13 @@ fn estimation_never_touches_tag_identity() {
 #[test]
 fn million_tag_estimate() {
     let n = 1_000_000usize;
-    let config = PetConfig::paper_default();
+    let config = PetConfig::builder()
+        .backend(Backend::Oracle)
+        .build()
+        .unwrap();
     let mut rng = StdRng::seed_from_u64(0x0E2E_0004);
     let report =
-        PetSession::new(config).estimate_population(&TagPopulation::sequential(n), &mut rng);
+        Estimator::new(config).estimate_population(&TagPopulation::sequential(n), &mut rng);
     let rel = (report.estimate - n as f64).abs() / n as f64;
     assert!(
         rel < 0.05,

@@ -99,10 +99,11 @@ fn pet_estimate_law_is_seed_invariant() {
                 let config = PetConfig::builder()
                     .accuracy(Accuracy::new(0.2, 0.2).unwrap())
                     .manufacture_seed(base_seed ^ (t * 131))
+                    .backend(Backend::Oracle)
                     .build()
                     .unwrap();
                 let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(t));
-                PetSession::new(config)
+                Estimator::new(config)
                     .estimate_population_rounds(&TagPopulation::sequential(n), 16, &mut rng)
                     .estimate
             })

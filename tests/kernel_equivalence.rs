@@ -1,30 +1,33 @@
-//! Bit-for-bit equivalence of the batched estimation kernel
-//! (`pet_core::kernel` via [`SessionEngine::run_fast`]) against the
-//! slot-by-slot reference reader, over BOTH oracle implementations —
-//! the sorted-array [`CodeRoster`] and the per-tag [`TagFleet`] — for the
-//! same `(path, seed)` RNG stream.
+//! Bit-for-bit equivalence of the batched estimation kernel (the
+//! [`Backend::Kernel`] backend of [`Estimator`]) against the slot-by-slot
+//! reference reader ([`Estimator::try_run_oracle`]), over BOTH oracle
+//! implementations — the sorted-array [`CodeRoster`] and the per-tag
+//! [`TagFleet`] — for the same `(path, seed)` RNG stream.
 //!
 //! This is the acceptance gate for the kernel: estimates, per-round
 //! records, and air metrics must be *identical*, not statistically close,
 //! across all tree heights 1..=64 and populations from empty to 10⁵.
 
-use pet_core::config::{PetConfig, SearchStrategy, TagMode};
+use pet_core::config::{Backend, PetConfig, SearchStrategy, TagMode};
+use pet_core::front::Estimator;
 use pet_core::oracle::{CodeRoster, ResponderOracle, TagFleet};
-use pet_core::session::{EstimateReport, PetSession, SessionEngine};
+use pet_core::session::EstimateReport;
 use pet_phy::channel::PerfectChannel;
 use pet_phy::Air;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn report_over<O: ResponderOracle>(
-    session: &PetSession,
+    reader: &Estimator,
     oracle: &mut O,
     rounds: u32,
     seed: u64,
 ) -> EstimateReport {
     let mut air = Air::new(PerfectChannel);
     let mut rng = StdRng::seed_from_u64(seed);
-    session.run_rounds(rounds, oracle, &mut air, &mut rng)
+    reader
+        .try_run_oracle(rounds, oracle, &mut air, &mut rng)
+        .unwrap()
 }
 
 fn assert_identical(slow: &EstimateReport, fast: &EstimateReport, label: &str) {
@@ -45,16 +48,18 @@ fn assert_identical(slow: &EstimateReport, fast: &EstimateReport, label: &str) {
 }
 
 /// Runs the three paths (kernel, roster reader, fleet reader) on the same
-/// stream and demands byte-identical reports.
+/// stream and demands byte-identical reports. `try_run_oracle` always
+/// drives the slot-by-slot reader, so one kernel-backend estimator serves
+/// all three.
 fn check(config: PetConfig, keys: &[u64], rounds: u32, seed: u64, label: &str) {
-    let session = PetSession::new(config);
-    let engine = SessionEngine::from_session(session.clone());
-    let mut roster = CodeRoster::new(keys, &config, session.family());
-    let mut fleet = TagFleet::new(keys, &config, session.family());
-    let via_roster = report_over(&session, &mut roster, rounds, seed);
-    let via_fleet = report_over(&session, &mut fleet, rounds, seed);
+    assert_eq!(config.backend(), Backend::Kernel);
+    let estimator = Estimator::new(config);
+    let mut roster = CodeRoster::new(keys, &config, estimator.family());
+    let mut fleet = TagFleet::new(keys, &config, estimator.family());
+    let via_roster = report_over(&estimator, &mut roster, rounds, seed);
+    let via_fleet = report_over(&estimator, &mut fleet, rounds, seed);
     let mut rng = StdRng::seed_from_u64(seed);
-    let fast = engine.estimate_keys_rounds(keys, rounds, &mut rng);
+    let fast = estimator.estimate_keys_rounds(keys, rounds, &mut rng);
     assert_identical(&via_roster, &fast, &format!("{label} (roster)"));
     assert_identical(&via_fleet, &fast, &format!("{label} (fleet)"));
 }

@@ -23,10 +23,11 @@ proptest! {
     ) {
         let config = PetConfig::builder()
             .accuracy(Accuracy::new(0.2, 0.2).unwrap())
+            .backend(Backend::Oracle)
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let report = PetSession::new(config)
+        let report = Estimator::new(config)
             .estimate_population_rounds(&TagPopulation::sequential(n), rounds, &mut rng);
         let m = u64::from(rounds);
         prop_assert!(report.metrics.slots >= 5 * m);
@@ -51,10 +52,11 @@ proptest! {
         let config = PetConfig::builder()
             .accuracy(Accuracy::new(0.2, 0.2).unwrap())
             .manufacture_seed(seed)
+            .backend(Backend::Oracle)
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let report = PetSession::new(config)
+        let report = Estimator::new(config)
             .estimate_population_rounds(&TagPopulation::sequential(n), rounds, &mut rng);
         prop_assert!(report.estimate.is_finite());
         prop_assert!(report.estimate >= 0.0);
@@ -99,12 +101,12 @@ proptest! {
                 .encoding(encoding)
                 .build()
                 .unwrap();
-            let session = PetSession::new(config);
+            let estimator = Estimator::new(config);
             let keys: Vec<u64> = (0..n as u64).collect();
-            let mut oracle = CodeRoster::new(&keys, &config, session.family());
+            let mut oracle = CodeRoster::new(&keys, &config, estimator.family());
             let mut air = Air::new(ChannelModel::Perfect);
             let mut rng = StdRng::seed_from_u64(seed);
-            let report = session.run_rounds(16, &mut oracle, &mut air, &mut rng);
+            let report = estimator.try_run_oracle(16, &mut oracle, &mut air, &mut rng).unwrap();
             estimates.push(report.estimate);
             bits.push(report.metrics.command_bits);
         }
@@ -125,10 +127,11 @@ proptest! {
             let config = PetConfig::builder()
                 .accuracy(Accuracy::new(0.2, 0.2).unwrap())
                 .search(strategy)
+                .backend(Backend::Oracle)
                 .build()
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let report = PetSession::new(config)
+            let report = Estimator::new(config)
                 .estimate_population_rounds(&TagPopulation::sequential(n), 8, &mut rng);
             prefixes.push(report.mean_prefix_len);
         }
