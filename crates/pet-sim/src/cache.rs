@@ -19,17 +19,29 @@
 //! `TagMode::PassivePreloaded` banks (active mode re-hashes per round and
 //! never caches codes — each trial gets its own rebuild buffers). Trials
 //! with per-trial manufacture seeds (e.g. fig4's fresh-deployment model)
-//! miss by construction — the key includes the seed — and fall through to a
-//! bounded insert, so the cache never changes any experiment's output, only
-//! its cost. Both maps are FIFO-bounded, so paper-scale sweeps with unique
-//! seeds cannot grow memory without bound.
+//! miss by construction — the key includes the seed — and are stored like
+//! any other miss (store on first miss), so the cache never changes any
+//! experiment's output, only its cost. Both shelves are FIFO-bounded, so
+//! paper-scale sweeps with unique seeds cannot grow memory without bound.
+//!
+//! Lock discipline: each shelf's mutex guards only its map and FIFO order,
+//! never a build. A lookup locks, gets or inserts the key's
+//! `Arc<OnceLock<_>>` cell (evicting the oldest when full), clones the
+//! `Arc` and unlocks; the build then runs in `OnceLock::get_or_init` with
+//! no lock held. So concurrent misses on different keys build in parallel,
+//! racers on one key wait on that key's cell alone and share one
+//! allocation, and a panicking build leaves its cell empty for the next
+//! lookup to rebuild instead of poisoning the shelf. The hit/miss/eviction
+//! counters are relaxed atomics: they publish no other data.
 
 use pet_core::config::{PetConfig, TagMode};
 use pet_core::kernel::CodeBank;
 use pet_hash::bulk::{hash_codes_into, radix_sort_codes, RadixScratch};
 use pet_hash::family::{AnyFamily, HashKind};
 use pet_tags::population::TagPopulation;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cache key for a passive preloaded code array.
@@ -56,70 +68,99 @@ pub struct CacheStats {
 /// Result of one shelf lookup.
 struct Lookup<V> {
     value: V,
+    /// False when this caller ran the build.
     hit: bool,
     evicted: bool,
 }
 
-struct Shelf<K, V> {
-    map: HashMap<K, V>,
+/// One key's slot: filled once by whichever lookup builds first.
+type Cell<V> = Arc<OnceLock<V>>;
+
+/// The map and FIFO order behind a shelf's lock.
+struct Slots<K, V> {
+    map: HashMap<K, Cell<V>>,
     order: VecDeque<K>,
 }
 
-// Manual impl: the derive would demand `K: Default` needlessly.
-impl<K, V> Default for Shelf<K, V> {
-    fn default() -> Self {
-        Self {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
+/// A FIFO-bounded map from keys to lazily built, shared values.
+struct Shelf<K, V> {
+    cap: usize,
+    slots: Mutex<Slots<K, V>>,
 }
 
 impl<K: Clone + Eq + std::hash::Hash, V: Clone> Shelf<K, V> {
-    fn get_or_insert_with(&mut self, key: K, cap: usize, build: impl FnOnce() -> V) -> Lookup<V> {
-        if let Some(v) = self.map.get(&key) {
-            return Lookup {
-                value: v.clone(),
-                hit: true,
-                evicted: false,
-            };
+    fn new(cap: usize) -> Self {
+        Self {
+            cap,
+            slots: Mutex::new(Slots {
+                map: HashMap::new(),
+                order: VecDeque::new(),
+            }),
         }
-        let v = build();
-        // Capacity 0 disables storage entirely: without this guard the old
-        // FIFO logic would insert then immediately evict on every lookup,
-        // silently thrashing (build + churn) while caching nothing.
-        if cap == 0 {
+    }
+
+    /// The value for `key`, running `build` outside the lock if no other
+    /// lookup has filled the key's cell yet.
+    fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Lookup<V> {
+        // Capacity 0 disables storage entirely: every lookup builds and
+        // nothing enters the map or the FIFO.
+        if self.cap == 0 {
             return Lookup {
-                value: v,
+                value: build(),
                 hit: false,
                 evicted: false,
             };
         }
         let mut evicted = false;
-        if self.order.len() >= cap {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-                evicted = true;
+        let cell = {
+            // No build runs under this lock, so only a bug in the map
+            // bookkeeping itself could poison it.
+            let mut slots = self.slots.lock().expect("roster cache shelf poisoned");
+            if let Some(cell) = slots.map.get(&key) {
+                Arc::clone(cell)
+            } else {
+                if slots.order.len() >= self.cap {
+                    if let Some(old) = slots.order.pop_front() {
+                        slots.map.remove(&old);
+                        evicted = true;
+                    }
+                }
+                let cell = Cell::default();
+                slots.order.push_back(key.clone());
+                slots.map.insert(key, Arc::clone(&cell));
+                cell
             }
-        }
-        self.order.push_back(key.clone());
-        self.map.insert(key, v.clone());
+        };
+        let mut hit = true;
+        let value = cell
+            .get_or_init(|| {
+                hit = false;
+                build()
+            })
+            .clone();
         Lookup {
-            value: v,
-            hit: false,
+            value,
+            hit,
             evicted,
         }
     }
 }
 
+thread_local! {
+    /// Radix-sort scratch for code builds on this thread, kept across
+    /// misses so a sweep's trials do not each allocate a fresh ping-pong
+    /// buffer.
+    static SORT_SCRATCH: RefCell<RadixScratch> = RefCell::new(RadixScratch::new());
+}
+
 /// The process-wide roster cache. Obtain it with [`RosterCache::global`],
 /// or build a locally scoped one with [`RosterCache::with_capacities`].
 pub struct RosterCache {
-    keys_cap: usize,
-    codes_cap: usize,
-    keys: Mutex<Shelf<usize, Arc<Vec<u64>>>>,
-    codes: Mutex<Shelf<CodesKey, Arc<Vec<u64>>>>,
-    stats: Mutex<CacheStats>,
+    keys: Shelf<usize, Arc<Vec<u64>>>,
+    codes: Shelf<CodesKey, Arc<Vec<u64>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 /// Distinct key vectors kept (keys are ~8 B × n each).
@@ -147,23 +188,19 @@ impl RosterCache {
     #[must_use]
     pub fn with_capacities(keys_cap: usize, codes_cap: usize) -> Self {
         Self {
-            keys_cap,
-            codes_cap,
-            keys: Mutex::default(),
-            codes: Mutex::default(),
-            stats: Mutex::default(),
+            keys: Shelf::new(keys_cap),
+            codes: Shelf::new(codes_cap),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
     /// The `u64` hashing keys of `TagPopulation::sequential(n)`, shared.
     pub fn sequential_keys(&self, n: usize) -> Arc<Vec<u64>> {
-        let lookup = self
-            .keys
-            .lock()
-            .expect("cache poisoned")
-            .get_or_insert_with(n, self.keys_cap, || {
-                Arc::new(TagPopulation::sequential(n).keys().collect())
-            });
+        let lookup = self.keys.get_or_build(n, || {
+            Arc::new(TagPopulation::sequential(n).keys().collect())
+        });
         if pet_obs::enabled() {
             pet_obs::counter(
                 if lookup.hit {
@@ -193,36 +230,27 @@ impl RosterCache {
                     mode: config.tag_mode(),
                     height: config.height(),
                 };
-                let lookup = self
-                    .codes
-                    .lock()
-                    .expect("cache poisoned")
-                    .get_or_insert_with(cache_key, self.codes_cap, || {
-                        // Sequential hashing: trial workers already saturate
-                        // the cores, so nested fan-out would oversubscribe
-                        // (the SIMD lane dispatch still applies).
-                        let mut codes = Vec::new();
-                        let mut scratch = RadixScratch::new();
-                        hash_codes_into(
-                            &family,
-                            config.manufacture_seed(),
-                            &keys,
-                            config.height(),
-                            &mut codes,
-                        );
-                        radix_sort_codes(&mut codes, config.height(), &mut scratch);
-                        Arc::new(codes)
+                let lookup = self.codes.get_or_build(cache_key, || {
+                    // Sequential hashing: trial workers already saturate
+                    // the cores, so nested fan-out would oversubscribe
+                    // (the SIMD lane dispatch still applies).
+                    let mut codes = Vec::new();
+                    hash_codes_into(
+                        &family,
+                        config.manufacture_seed(),
+                        &keys,
+                        config.height(),
+                        &mut codes,
+                    );
+                    SORT_SCRATCH.with(|scratch| {
+                        radix_sort_codes(&mut codes, config.height(), &mut scratch.borrow_mut());
                     });
-                {
-                    let mut stats = self.stats.lock().expect("cache poisoned");
-                    if lookup.hit {
-                        stats.hits += 1;
-                    } else {
-                        stats.misses += 1;
-                    }
-                    if lookup.evicted {
-                        stats.evictions += 1;
-                    }
+                    Arc::new(codes)
+                });
+                let counter = if lookup.hit { &self.hits } else { &self.misses };
+                counter.fetch_add(1, Ordering::Relaxed);
+                if lookup.evicted {
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 if pet_obs::enabled() {
                     pet_obs::counter(
@@ -250,7 +278,11 @@ impl RosterCache {
     /// Snapshot of the hit/miss/eviction counters (passive code lookups
     /// only).
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().expect("cache poisoned")
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -261,6 +293,10 @@ mod tests {
     use pet_core::front::Estimator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     #[test]
     fn cached_bank_estimates_match_oracle_path() {
@@ -316,15 +352,13 @@ mod tests {
             let _ = cache.sequential_bank(64, &config, fam);
         }
         {
-            let shelf = cache.codes.lock().unwrap();
+            let shelf = cache.codes.slots.lock().unwrap();
             assert!(shelf.map.len() <= CODES_CAP);
             assert_eq!(shelf.map.len(), shelf.order.len());
         }
-        assert_eq!(
-            cache.stats().evictions,
-            10,
-            "one eviction per overflow insert"
-        );
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 10, "one eviction per overflow insert");
+        assert_eq!((stats.hits, stats.misses), (0, CODES_CAP as u64 + 10));
     }
 
     /// FIFO order: filling a capacity-2 cache with a third key must evict
@@ -366,43 +400,135 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 3, 0));
-        assert!(cache.codes.lock().unwrap().map.is_empty(), "nothing stored");
         assert!(
-            cache.codes.lock().unwrap().order.is_empty(),
+            cache.codes.slots.lock().unwrap().map.is_empty(),
+            "nothing stored"
+        );
+        assert!(
+            cache.codes.slots.lock().unwrap().order.is_empty(),
             "no FIFO churn"
         );
-        assert!(cache.keys.lock().unwrap().map.is_empty());
+        assert!(cache.keys.slots.lock().unwrap().map.is_empty());
     }
 
-    /// Concurrent trial workers share one cached artifact: every thread
-    /// gets a pointer to the same allocation, and the build happens at
-    /// most a handful of times (once per losing racer at worst).
+    /// Concurrent trial workers share one cached artifact: exactly one
+    /// thread builds it, and every thread gets a pointer to that one
+    /// allocation.
     #[test]
     fn cross_thread_sharing_returns_one_allocation() {
-        let cache = std::sync::Arc::new(RosterCache::default());
+        let cache = RosterCache::default();
         let config = PetConfig::builder()
             .manufacture_seed(0xBEEF)
             .build()
             .unwrap();
         let fam = AnyFamily::default();
         let reference = cache.sequential_keys(512);
+        let start = Barrier::new(8);
         let banks: Vec<CodeBank> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
-                    let cache = std::sync::Arc::clone(&cache);
-                    scope.spawn(move || cache.sequential_bank(512, &config, fam))
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.sequential_bank(512, &config, fam)
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for bank in &banks {
-            assert_eq!(bank.codes(), banks[0].codes());
+            assert!(std::ptr::eq(bank.codes(), banks[0].codes()));
         }
         // The keys shelf is shared: same Arc for every later request.
         assert!(Arc::ptr_eq(&reference, &cache.sequential_keys(512)));
         let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 8);
-        assert!(stats.misses >= 1, "someone built it");
+        assert_eq!((stats.hits, stats.misses), (7, 1));
+    }
+
+    /// N threads racing on one key run the build closure once between
+    /// them; the rest wait on the key's cell and count as hits.
+    #[test]
+    fn racers_on_one_key_build_once() {
+        const RACERS: usize = 8;
+        let shelf: Shelf<u32, Arc<u64>> = Shelf::new(4);
+        let builds = AtomicUsize::new(0);
+        let start = Barrier::new(RACERS);
+        let lookups: Vec<Lookup<Arc<u64>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        shelf.get_or_build(7, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            Arc::new(49)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert_eq!(lookups.iter().filter(|l| !l.hit).count(), 1);
+        for lookup in &lookups {
+            assert!(Arc::ptr_eq(&lookup.value, &lookups[0].value));
+        }
+    }
+
+    /// A build in progress holds no lock: while one thread's build of key
+    /// A is parked on a channel, a lookup of a resident key and a build of
+    /// another key both complete.
+    #[test]
+    fn a_build_blocks_only_its_own_key() {
+        let shelf: Shelf<u32, u32> = Shelf::new(4);
+        assert!(!shelf.get_or_build(1, || 10).hit);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let shelf = &shelf;
+        std::thread::scope(|scope| {
+            let slow = scope.spawn(move || {
+                shelf.get_or_build(2, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    20
+                })
+            });
+            started_rx.recv().unwrap();
+            scope.spawn(move || {
+                let resident = shelf.get_or_build(1, || unreachable!("resident"));
+                let other = shelf.get_or_build(3, || 30);
+                done_tx
+                    .send((resident.hit, resident.value, other.hit, other.value))
+                    .unwrap();
+            });
+            // Under a lock held across builds the lookups above would wait
+            // for key 2's build forever; the timeout turns that into a
+            // failure instead of a hang.
+            let done = done_rx.recv_timeout(Duration::from_secs(30));
+            release_tx.send(()).unwrap();
+            assert_eq!(done, Ok((true, 10, false, 30)));
+            let slow = slow.join().unwrap();
+            assert_eq!((slow.hit, slow.value), (false, 20));
+        });
+    }
+
+    /// A panicking build poisons nothing: the next lookup of the same key
+    /// rebuilds it, and other keys are untouched.
+    #[test]
+    fn a_panicking_build_leaves_the_shelf_usable() {
+        let shelf: Shelf<u32, u32> = Shelf::new(4);
+        assert!(!shelf.get_or_build(1, || 10).hit);
+        let crashed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            shelf.get_or_build(2, || panic!("build failed"))
+        }));
+        assert!(crashed.is_err());
+        let retry = shelf.get_or_build(2, || 20);
+        assert_eq!((retry.hit, retry.value), (false, 20));
+        let again = shelf.get_or_build(2, || unreachable!("stored"));
+        assert_eq!((again.hit, again.value), (true, 20));
+        let resident = shelf.get_or_build(1, || unreachable!("resident"));
+        assert_eq!((resident.hit, resident.value), (true, 10));
+        let fresh = shelf.get_or_build(3, || 30);
+        assert_eq!((fresh.hit, fresh.value), (false, 30));
     }
 
     #[test]

@@ -71,9 +71,9 @@ pub fn pet_trial(n: usize, rounds: u32, trial_seed: u64) -> f64 {
         .expect("valid config");
     // Default backend is the batched kernel, bit-for-bit equal to the oracle
     // session for the same seeds (pinned by the kernel equivalence suite).
-    // Per-trial manufacture seeds mean the code cache misses by design; the
-    // shared key vector and radix sort still drop most of the per-trial
-    // setup.
+    // Per-trial manufacture seeds mean the code cache misses by design: each
+    // trial hashes and radix-sorts its own codes (over the shared key
+    // vector), outside the cache's lock, so trial workers build in parallel.
     let estimator = Estimator::new(config);
     let mut bank = RosterCache::global().sequential_bank(n, &config, AnyFamily::default());
     let mut rng = StdRng::seed_from_u64(trial_seed);

@@ -32,6 +32,14 @@ echo "==> perfbench: build and self-tests"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
+# The Fig. 4 sweep's own correctness checks: every cell runs at least twice,
+# so each cell's row bits must repeat and every m >= 64 row must fall in the
+# accuracy band. A roster-cache change that alters a single row fails here
+# (exit status non-zero). About 15 s on a 2-vCPU host once built.
+echo "==> perfbench: sweep-fig4 correctness checks"
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep-fig4 --seconds 1
+
 # Statistical conformance gate: fixed-seed empirical checks of the paper's
 # (ε, δ) guarantee, the gray-node law (KS), lossy-channel backend
 # equivalence, and bias bounds under loss. Deterministic, runs in seconds.
